@@ -4,15 +4,15 @@ Measures the fast-path layers against their reference implementations
 and writes ``BENCH_hotpath.json`` plus ``BENCH_solver.json``:
 
 * **occupancy** — the flat-array :class:`repro.core.resources.Occupancy`
-  vs the dict/Counter :class:`repro.core.refimpl.DictOccupancy` on an
+  vs the dict/Counter ``reference.DictOccupancy`` (``tests/reference``) on an
   identical can/add/release/copy workload (ops/second each, ratio);
 * **router** — the distance-pruned/A* :class:`Router` vs the exhaustive
   :class:`ReferenceRouter` on an identical batch of route queries
   (routes/second, explored-candidate counts, ratio);
 * **matrix** — ``run_matrix`` wall-clock serial vs ``--jobs N``
   (speedup is bounded by the machine's core count, which is recorded);
-* **solver** — the exact-method family: the CDCL SAT engine vs the
-  retained DPLL reference driving :class:`SATMapper` on kernels and a
+* **solver** — the exact-method family: the incremental CDCL
+  :class:`SATMapper` vs the DPLL reference mapper on kernels and a
   mid-size random DFG (wall + decisions), plus the warm-start hooks
   (ILP MIP start, CSP value hints) re-solving an II with the prior
   assignment as the hint;
@@ -39,11 +39,12 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "tests"))  # the reference oracles
 
 from repro.arch import presets  # noqa: E402
 from repro.bench.harness import run_matrix  # noqa: E402
-from repro.core.refimpl import DictOccupancy, ReferenceRouter  # noqa: E402
 from repro.core.resources import Occupancy  # noqa: E402
 from repro.ir import kernels, randdfg  # noqa: E402
 from repro.mappers.csp_mapper import CSPMapper  # noqa: E402
@@ -55,6 +56,11 @@ from repro.obs.tracer import (  # noqa: E402
     SOLVER_DECISIONS,
     SOLVER_NODES,
     tracing,
+)
+from reference import (  # noqa: E402
+    DictOccupancy,
+    DPLLSATMapper,
+    ReferenceRouter,
 )
 
 #: documented fast-path goals (informational; the JSON records actuals)
@@ -338,11 +344,11 @@ def bench_cache(smoke: bool) -> dict:
     return {"dse": dse, "matrix": matrix}
 
 
-def _sat_run(dfg, cgra, engine: str, ii: int | None) -> dict:
-    """One SATMapper run: best II, wall seconds, SAT decisions."""
+def _sat_run(dfg, cgra, mapper_cls, ii: int | None) -> dict:
+    """One SAT mapper run: best II, wall seconds, SAT decisions."""
     with tracing() as tr:
         t0 = time.perf_counter()
-        mapping = SATMapper(engine=engine).map(dfg, cgra, ii=ii)
+        mapping = mapper_cls().map(dfg, cgra, ii=ii)
         elapsed = time.perf_counter() - t0
     decisions = sum(s.total(SOLVER_DECISIONS) for s in tr.roots)
     return {
@@ -384,8 +390,8 @@ def bench_solver(smoke: bool) -> dict:
 
     sat_rows = []
     for name, dfg, ii in workloads:
-        cdcl = _sat_run(dfg, cgra, "cdcl", ii)
-        dpll = _sat_run(dfg, cgra, "dpll", ii)
+        cdcl = _sat_run(dfg, cgra, SATMapper, ii)
+        dpll = _sat_run(dfg, cgra, DPLLSATMapper, ii)
         assert cdcl["ii"] == dpll["ii"], f"engines disagree on {name}"
         sat_rows.append(
             {

@@ -8,19 +8,27 @@ greedy is cheaper.
 
 Runnable as a script too: ``python bench_routing_ablation.py
 --engine flat|scalar|both`` runs the same cells through the chosen
-search engine (``flat`` = the array core in
-:mod:`repro.mappers.routecore`, ``scalar`` = the original dict/heapq
-reference; see DESIGN.md §13) so the disciplines can be compared on
-either implementation, or both side by side.
+search engine (``flat`` = the production router on the array core in
+:mod:`repro.mappers.routecore`, ``scalar`` = the pruned dict/heapq
+reference router in ``tests/reference``; see DESIGN.md §13) so the
+disciplines can be compared on either implementation, or both side by
+side.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
-from repro.arch import presets
-from repro.bench import ascii_table
-from repro.core.resources import Occupancy
-from repro.mappers.routing import RouteRequest, Router
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT / "tests"))  # the reference oracles
+
+from repro.arch import presets  # noqa: E402
+from repro.bench import ascii_table  # noqa: E402
+from repro.core.resources import Occupancy  # noqa: E402
+from repro.mappers.routing import RouteRequest, Router  # noqa: E402
+from reference import ReferenceRouter  # noqa: E402
 
 
 def _congested_instance(cgra):
@@ -41,7 +49,10 @@ def _congested_instance(cgra):
 def _run(router_kind: str, engine: str = "flat"):
     cgra = presets.simple_cgra(3, 3)
     occ, reqs = _congested_instance(cgra)
-    router = Router(cgra, engine=engine)
+    router = (
+        Router(cgra) if engine == "flat"
+        else ReferenceRouter(cgra, prune=True)
+    )
     routed = 0
     total_len = 0
     t0 = time.perf_counter()

@@ -27,12 +27,15 @@ import sys
 import time
 from pathlib import Path
 
-from repro.arch import presets
-from repro.bench import ascii_table
-from repro.core.exceptions import MapFailure
-from repro.core.registry import create
-from repro.ir import kernels, randdfg
-from repro.parallel import TaskTimeout, time_limit
+# the reference oracles (tests/reference) for the routing comparison
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from repro.arch import presets  # noqa: E402
+from repro.bench import ascii_table  # noqa: E402
+from repro.core.exceptions import MapFailure  # noqa: E402
+from repro.core.registry import create  # noqa: E402
+from repro.ir import kernels, randdfg  # noqa: E402
+from repro.parallel import TaskTimeout, time_limit  # noqa: E402
 
 SIZES = [4, 5, 6]
 
@@ -185,19 +188,24 @@ def _serpentine_binding(dfg, cgra, displace_every: int) -> dict:
     return binding
 
 
-def _time_route(dfg, cgra, binding, engine, incremental, budget_s=1.5):
-    """(best-of wall-clock seconds, converged?) for one engine."""
-    from repro.mappers.spatial_common import route_negotiated
+def _flat_full(dfg, cgra, binding):
+    """The flat engine on the reference's full re-route schedule."""
+    from repro.mappers.routecore import negotiate_spatial
+    from repro.mappers.spatial_common import _negotiation_nets
 
+    nets = _negotiation_nets(dfg, cgra, binding)
+    return negotiate_spatial(cgra, binding, nets, incremental=False)
+
+
+def _time_route(dfg, cgra, binding, route, budget_s=1.5):
+    """(best-of wall-clock seconds, converged?) for one engine."""
     best = float("inf")
     ok = False
     t_start = time.perf_counter()
     reps = 0
     while reps < 3 or time.perf_counter() - t_start < budget_s:
         t0 = time.perf_counter()
-        routes = route_negotiated(
-            dfg, cgra, binding, engine=engine, incremental=incremental
-        )
+        routes = route(dfg, cgra, binding)
         best = min(best, time.perf_counter() - t0)
         ok = routes is not None
         reps += 1
@@ -207,22 +215,30 @@ def _time_route(dfg, cgra, binding, engine, incremental, budget_s=1.5):
 
 
 def route_sweep() -> dict:
-    """Flat-vs-scalar negotiated routing; the ``route`` report block."""
+    """Flat-vs-scalar negotiated routing; the ``route`` report block.
+
+    ``scalar`` is the reference full schedule (``tests/reference``),
+    ``flat_full`` the flat engine on that schedule, ``flat_inc`` the
+    production incremental rip-up.
+    """
+    import reference
+    from repro.mappers.spatial_common import route_negotiated
+
     cgra = presets.by_name(ROUTE_ARCH)
     dfg = kernels.kernel(ROUTE_KERNEL)
     engines = (
-        ("scalar", "scalar", False),
-        ("flat_full", "flat", False),
-        ("flat_inc", "flat", True),
+        ("scalar", reference.route_negotiated),
+        ("flat_full", _flat_full),
+        ("flat_inc", route_negotiated),
     )
     rows = []
-    totals = {label: 0.0 for label, _, _ in engines}
+    totals = {label: 0.0 for label, _ in engines}
     success_equal = True
     for k in ROUTE_DISPLACEMENTS:
         binding = _serpentine_binding(dfg, cgra, k)
         times, oks = {}, {}
-        for label, engine, inc in engines:
-            t, ok = _time_route(dfg, cgra, binding, engine, inc)
+        for label, route in engines:
+            t, ok = _time_route(dfg, cgra, binding, route)
             times[label], oks[label] = t, ok
             totals[label] += t
         success_equal = success_equal and (

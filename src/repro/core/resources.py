@@ -42,8 +42,8 @@ The slot-major layout is deliberate: growing the time axis appends,
 so indices computed before a growth stay correct.
 
 A reference ``dict``-keyed implementation with identical semantics is
-kept in :mod:`repro.core.refimpl` for the equivalence suite and the
-hot-path microbenchmark.
+kept with the tests (``tests/reference``) for the equivalence suite and
+the hot-path microbenchmark.
 """
 
 from __future__ import annotations

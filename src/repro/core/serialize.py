@@ -210,7 +210,12 @@ def mapping_from_doc(
     (unless ``verify=False``), or on an unknown format version.
     ``node_map`` translates the document's node ids into the live
     DFG's (identity when omitted); the result is re-validated before
-    returning unless ``validate=False``.
+    returning unless ``validate=False``.  A document that is well
+    formed but describes an illegal mapping (say, a shifted schedule
+    slot) fails that re-validation with
+    :class:`~repro.core.exceptions.ValidationError`, which is *not* a
+    ``ValueError`` subclass: callers rebuilding untrusted documents
+    catch both.
     """
     if not isinstance(doc, dict):
         raise ValueError(

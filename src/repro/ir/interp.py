@@ -125,12 +125,6 @@ def apply_op(op: Op, args: list[int]) -> int:
     raise DFGError(f"cannot interpret op {op}")
 
 
-# Compatibility aliases: the helpers were underscore-private before the
-# conformance harness promoted them to the public surface.
-_apply = apply_op
-_as_series = broadcast_series
-
-
 class DFGInterpreter:
     """Evaluates a DFG over a number of loop iterations.
 
@@ -264,7 +258,7 @@ class DFGInterpreter:
                     arr[addr] = args[1]
                     cur[nid] = args[1]
                     continue
-                cur[nid] = _apply(node.op, args)
+                cur[nid] = apply_op(node.op, args)
 
         self._values = values
         return outputs

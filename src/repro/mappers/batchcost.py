@@ -7,22 +7,16 @@ At 4x4 scale a python loop over four edges is fine; at 16x16/32x32 the
 walk proposes *batches* of candidate cells per move and the per-edge
 python loop becomes the placer's hot path.
 
-This module provides the same evaluator twice:
-
-* :class:`ScalarDeltaCost` — the reference: python loops over edge
-  lists, exactly the PR 3 ``incident_edges`` discipline;
-* :class:`VectorDeltaCost` — numpy: the binding lives in a flat
-  int64 cell array (the same flat, index-computed discipline as the
-  slot-major :class:`~repro.core.resources.Occupancy` arrays), the
-  all-pairs hop-distance table is a shared ``(n_cells, n_cells)``
-  int64 matrix, and a batch of K candidate cells for one op is scored
-  as one ``(K, degree)`` fancy-indexed reduction.
-
-Both paths compute in plain integers (hop distances are integers,
-edge weights are integers), so their results are **bit-identical** —
-not approximately equal — and the clustered placer's walk consumes
-the RNG identically whichever backend is active.  The equivalence
-suite asserts identical accepted/rejected move sequences.
+:class:`VectorDeltaCost` is the numpy evaluator: the binding lives in
+a flat int64 cell array (the same flat, index-computed discipline as
+the slot-major :class:`~repro.core.resources.Occupancy` arrays), the
+all-pairs hop-distance table is a shared ``(n_cells, n_cells)`` int64
+matrix, and a batch of K candidate cells for one op is scored as one
+``(K, degree)`` fancy-indexed reduction.  It computes in plain
+integers (hop distances and edge weights are integers), so it is
+**bit-identical** — not approximately equal — to the python-loop
+reference in ``tests/reference``; the equivalence suite asserts
+identical accepted/rejected move sequences.
 
 The numpy distance matrix is memoized at module level per architecture
 fingerprint (bounded), mirroring the shared BFS table cache on
@@ -41,9 +35,7 @@ from repro.ir.dfg import DFG, Edge
 
 __all__ = [
     "DeltaCostEvaluator",
-    "ScalarDeltaCost",
     "VectorDeltaCost",
-    "make_evaluator",
     "np_distance_matrix",
 ]
 
@@ -169,84 +161,6 @@ class DeltaCostEvaluator:
         raise NotImplementedError
 
 
-class ScalarDeltaCost(DeltaCostEvaluator):
-    """Reference python-loop backend (the PR 3 discipline)."""
-
-    def __init__(self, dfg: DFG, cgra: CGRA) -> None:
-        super().__init__(dfg, cgra)
-        self._dist = cgra.distance_table()
-        self._w = [1] * len(self.edges)
-        self._all_eids = [
-            sorted(set(se) | set(de))
-            for se, de in zip(self._src_eids, self._dst_eids)
-        ]
-
-    def new_cells(self, binding: dict[int, int]) -> list[int]:
-        return [binding[nid] for nid in self.nodes]
-
-    def total(self, cells) -> int:
-        return self.edges_cost(cells, range(len(self.edges)))
-
-    def edges_cost(self, cells, eids) -> int:
-        dist, w, idx = self._dist, self._w, self.index
-        total = 0
-        for eid in eids:
-            e = self.edges[eid]
-            d = dist[cells[idx[e.src]]][cells[idx[e.dst]]]
-            if d > 1:
-                total += w[eid] * (d - 1 + STRETCH_PENALTY)
-        return total
-
-    def move_deltas(self, cells, i: int, cands) -> list[int]:
-        dist, w = self._dist, self._w
-        old = cells[i]
-        src_pairs = [
-            (w[eid], cells[o])
-            for eid, o in zip(self._src_eids[i], self._src_oth[i])
-        ]
-        dst_pairs = [
-            (w[eid], cells[o])
-            for eid, o in zip(self._dst_eids[i], self._dst_oth[i])
-        ]
-        P = STRETCH_PENALTY
-        old_sum = sum(
-            wt * (d - 1 + P)
-            for wt, oc in src_pairs
-            if (d := dist[old][oc]) > 1
-        ) + sum(
-            wt * (d - 1 + P)
-            for wt, sc in dst_pairs
-            if (d := dist[sc][old]) > 1
-        )
-        out = []
-        for c in cands:
-            new_sum = sum(
-                wt * (d - 1 + P)
-                for wt, oc in src_pairs
-                if (d := dist[c][oc]) > 1
-            ) + sum(
-                wt * (d - 1 + P)
-                for wt, sc in dst_pairs
-                if (d := dist[sc][c]) > 1
-            )
-            out.append(new_sum - old_sum)
-        return out
-
-    def union_eids(self, i: int, j: int) -> list[int]:
-        return sorted(set(self._all_eids[i]) | set(self._all_eids[j]))
-
-    def bump_weight(self, eid: int, add: int = 1) -> None:
-        self._w[eid] += add
-
-    def stretched_edges(self, cells) -> list[int]:
-        dist, idx = self._dist, self.index
-        return [
-            eid
-            for eid, e in enumerate(self.edges)
-            if dist[cells[idx[e.src]]][cells[idx[e.dst]]] > 1
-        ]
-
-
 class VectorDeltaCost(DeltaCostEvaluator):
     """numpy backend: flat arrays, batched fancy-indexed reductions."""
 
@@ -323,10 +237,3 @@ class VectorDeltaCost(DeltaCostEvaluator):
         d = self._D[cells[self._esrc], cells[self._edst]]
         return [int(eid) for eid in np.nonzero(d > 1)[0]]
 
-
-def make_evaluator(
-    dfg: DFG, cgra: CGRA, *, vectorized: bool = True
-) -> DeltaCostEvaluator:
-    """Build the requested backend (both are semantically identical)."""
-    cls = VectorDeltaCost if vectorized else ScalarDeltaCost
-    return cls(dfg, cgra)

@@ -18,9 +18,9 @@ at two granularities —
    of the wirelength bill.
 3. **Refine** — a delta-cost anneal over the *whole* fabric (moves
    freely cross cluster boundaries), scoring a batch of candidate
-   cells per move through :mod:`repro.mappers.batchcost` — the
-   numpy-vectorized evaluator by default, the scalar reference on
-   request, bit-identical either way.
+   cells per move through the numpy evaluator of
+   :mod:`repro.mappers.batchcost` (bit-identical to the python-loop
+   reference in ``tests/reference``).
 
 Routing failures do not discard the placement: the router reports
 every unroutable edge (:func:`route_spatial_partial`), the evaluator's
@@ -40,7 +40,7 @@ from repro.core.mapper import Mapper, MapperInfo
 from repro.core.mapping import Mapping
 from repro.core.registry import register
 from repro.ir.dfg import DFG, Edge
-from repro.mappers.batchcost import DeltaCostEvaluator, make_evaluator
+from repro.mappers.batchcost import DeltaCostEvaluator, VectorDeltaCost
 from repro.mappers.partition import partition
 from repro.mappers.spatial_common import (
     candidate_cells,
@@ -194,8 +194,6 @@ class ClusteredSpatialMapper(Mapper):
         moves_per_temp: int | None = None,
         restarts: int = 3,
         repair_rounds: int = 4,
-        vectorized: bool = True,
-        route_engine: str = "flat",
     ) -> None:
         super().__init__(seed)
         self.region = region
@@ -206,20 +204,13 @@ class ClusteredSpatialMapper(Mapper):
         self.moves_per_temp = moves_per_temp
         self.restarts = restarts
         self.repair_rounds = repair_rounds
-        self.vectorized = vectorized
-        self.route_engine = route_engine
 
     def cache_token(self) -> str:
-        # vectorized is deliberately absent: both backends produce the
-        # same mapping (the bit-identity the equivalence suite checks),
-        # so they may alias in the cache.  route_engine is present:
-        # the flat engine's incremental rip-up may settle on different
-        # (equally legal) routes than the scalar full re-route.
         return (
             f"region={self.region};batch={self.batch};"
             f"t={self.t_start}:{self.t_end}:{self.cooling};"
             f"moves={self.moves_per_temp};restarts={self.restarts};"
-            f"repair={self.repair_rounds};route={self.route_engine}"
+            f"repair={self.repair_rounds}"
         )
 
     # -- phase 2: global seed ------------------------------------------
@@ -310,9 +301,9 @@ class ClusteredSpatialMapper(Mapper):
 
         Every RNG draw and every control decision happens here, on
         plain python ints — the evaluator only supplies integer costs —
-        so a seeded walk is bit-identical across the scalar and
-        vectorized backends (``journal`` records each proposal for the
-        equivalence suite: ``(node, target, delta, accepted)``).
+        so a seeded walk is bit-identical across evaluator backends
+        (``journal`` records each proposal for the equivalence suite:
+        ``(node, target, delta, accepted)``).
         """
         tracer = get_tracer()
         n = len(ev.nodes)
@@ -488,9 +479,7 @@ class ClusteredSpatialMapper(Mapper):
                 # artifact more often than to the placement: negotiate
                 # before blaming (and re-annealing) the placement.
                 tracer.count(ROUTING_ATTEMPTS)
-                negotiated = route_negotiated(
-                    dfg, cgra, binding, engine=self.route_engine
-                )
+                negotiated = route_negotiated(dfg, cgra, binding)
                 if negotiated is not None:
                     return binding, negotiated, []
             return binding, routes, failed
@@ -567,9 +556,7 @@ class ClusteredSpatialMapper(Mapper):
                         f" {cgra.name}",
                         attempts=attempts,
                     )
-                ev = make_evaluator(
-                    dfg, cgra, vectorized=self.vectorized
-                )
+                ev = VectorDeltaCost(dfg, cgra)
                 cells = ev.new_cells(binding)
                 _, seed_failed = route_spatial_partial(
                     dfg, cgra, binding

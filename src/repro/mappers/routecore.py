@@ -26,18 +26,17 @@ the shared fast core both hot paths run on:
   costs here are ``>= 1`` per step, so monotonicity always holds.
 
 * :class:`CellClaims` — the one cell -> value -> path-refcount
-  structure for spatial routing occupancy.  Previously
-  ``spatial_common.claim()`` (negotiation) and the greedy router that
-  cluster's route-repair loop drives kept parallel private maps; both
-  now share this class.  It maintains the *overused* cell set
-  incrementally, which is what makes incremental rip-up cheap.
+  structure for spatial routing occupancy, shared by negotiation and
+  the greedy router that cluster's route-repair loop drives.  It
+  maintains the *overused* cell set incrementally, which is what makes
+  incremental rip-up cheap.
 
 * :func:`negotiate_spatial` — the flat engine behind
   :func:`repro.mappers.spatial_common.route_negotiated`.  With
-  ``incremental=False`` it replays the scalar reference byte for byte
-  (same Dijkstra pop order, same paths, same convergence trace — the
-  equivalence suite holds it to that).  With ``incremental=True``
-  (the default via ``route_negotiated(engine="flat")``), iterations
+  ``incremental=False`` it replays the scalar reference
+  (``tests/reference``) byte for byte (same Dijkstra pop order, same
+  paths, same convergence trace — the equivalence suite holds it to
+  that).  With ``incremental=True`` (the default), iterations
   after the first rip up and re-route *only* the nets whose current
   paths cross an overused cell, instead of every edge every round.
   The rip-up invariant: congestion can only be *caused* by a path
@@ -49,8 +48,8 @@ the shared fast core both hot paths run on:
   legality of the result) may differ from the full re-route; DESIGN.md
   §13 documents the trade.
 
-* :class:`FlatTemporalEngine` — flat-array searches behind
-  :class:`repro.mappers.routing.Router`'s ``engine="flat"``: the
+* :class:`FlatTemporalEngine` — the searches behind
+  :class:`repro.mappers.routing.Router`, always distance-pruned: the
   layered BFS of :meth:`~repro.mappers.routing.Router.find` over
   generation-stamped state arrays, and the A* of
   :meth:`~repro.mappers.routing.Router.find_negotiated` with states
@@ -61,7 +60,7 @@ the shared fast core both hot paths run on:
   when a caller passes fractional penalties.  State indices are
   monotone in the scalar ``(cell, kind, layer)`` tuple order
   (``"hold" < "route"``), so tie-breaking — and therefore every path
-  — is byte-identical to the scalar searches.
+  — is byte-identical to the dict + heapq reference searches.
 """
 
 from __future__ import annotations
@@ -375,14 +374,15 @@ def negotiate_spatial(
 
     ``edges`` must be the already-filtered, already-sorted route list
     (non-pseudo, non-adjacent, longest first) — the caller computes it
-    once so both engines negotiate the identical net list.  Costs are
-    integers throughout (unit base + integral history + integral
-    pressure) and every step costs at least 1, so the Dijkstra runs on
-    inlined Dial buckets: a bucket never receives entries once the
-    drain cursor reaches it, so sorting each bucket at drain time by
-    ``(cell, prev)`` reproduces the exact pop order of the scalar
-    reference's ``(cost, cell, prev)`` heap at a fraction of the
-    per-push cost.  With ``incremental=False`` every iteration
+    once (:func:`repro.mappers.spatial_common._negotiation_nets`) so
+    the flat and reference engines negotiate the identical net list.
+    Costs are integers throughout (unit base + integral history +
+    integral pressure) and every step costs at least 1, so the
+    Dijkstra runs on inlined Dial buckets: a bucket never receives
+    entries once the drain cursor reaches it, so sorting each bucket
+    at drain time by ``(cell, prev)`` reproduces the exact pop order
+    of the scalar reference's ``(cost, cell, prev)`` heap at a
+    fraction of the per-push cost.  With ``incremental=False`` every iteration
     re-routes every edge (the scalar schedule, byte-identical output);
     with ``incremental=True`` iterations after the first re-route only
     nets crossing an overused cell.
@@ -536,13 +536,12 @@ _KIND = (HOLD, ROUTE)  # kind bit 0/1, matching "hold" < "route"
 
 
 class FlatTemporalEngine:
-    """Flat-array searches behind ``Router(engine="flat")``.
+    """Flat-array searches behind :class:`~repro.mappers.routing.Router`.
 
     One engine per Router; scratch arrays are sized to the largest
     span seen and reset by generation stamp.  Every method returns
     ``(result, explored)`` — the Router wrapper owns tracer counting
-    and the span<=0 short-circuits, which are shared with the scalar
-    engine.
+    and the span<=0 and distance short-circuits.
     """
 
     __slots__ = ("fg", "allow_hold", "_vis", "_par", "_dist", "_cap", "_gen")
@@ -566,15 +565,15 @@ class FlatTemporalEngine:
             self._cap = need
 
     # -- greedy layered BFS (Router.find) ------------------------------
-    def find(self, occ, req, *, prune: bool):
-        """Feasible step chain + explored count, mirroring the scalar
-        layer-BFS state for state (the equivalence suite asserts both
-        the chain and the count)."""
+    def find(self, occ, req):
+        """Feasible step chain + explored count, mirroring the pruned
+        reference layer-BFS state for state (the equivalence suite
+        asserts both the chain and the count)."""
         fg = self.fg
         span = req.t_consume - req.t_emit - 1
         dst = req.dst_cell
         value = req.value
-        dist_to = fg.dist_to(dst) if prune else None
+        dist_to = fg.dist_to(dst)
         allow_hold = self.allow_hold
         reach_ptr, reach, reach_link = fg.reach_ptr, fg.reach, fg.reach_link
         rf_size = fg.rf_size
@@ -609,7 +608,7 @@ class FlatTemporalEngine:
                     if base < 0
                     else occ.can_hold_i(value, cell, base + cell)
                 ):
-                    if dist_to is None or dist_to[cell] <= allowed:
+                    if dist_to[cell] <= allowed:
                         explored += 1
                         code = cell * 2
                         i = off + code
@@ -631,7 +630,7 @@ class FlatTemporalEngine:
                         continue
                     if not (base < 0 or occ.can_route_i(value, base + c2)):
                         continue
-                    if dist_to is not None and dist_to[c2] > allowed:
+                    if dist_to[c2] > allowed:
                         continue
                     explored += 1
                     code = c2 * 2 + 1
@@ -677,10 +676,8 @@ class FlatTemporalEngine:
         return out
 
     # -- negotiated A* (Router.find_negotiated) ------------------------
-    def find_negotiated(
-        self, occ, req, *, prune: bool, history: dict, penalty: float
-    ):
-        """(steps, cost) + explored, mirroring the scalar A* pop for
+    def find_negotiated(self, occ, req, *, history: dict, penalty: float):
+        """(steps, cost) + explored, mirroring the reference A* pop for
         pop: states ``(cell, kind, layer)`` become flat indices that
         are monotone in the scalar tuple order, so heap/Dial ties
         resolve identically."""
@@ -688,7 +685,7 @@ class FlatTemporalEngine:
         span = req.t_consume - req.t_emit - 1
         dst = req.dst_cell
         value = req.value
-        dist_to = fg.dist_to(dst) if prune else None
+        dist_to = fg.dist_to(dst)
         reach_ptr, reach = fg.reach_ptr, fg.reach
         rf_size = fg.rf_size
         intod = fg.links_into(dst)
@@ -764,7 +761,7 @@ class FlatTemporalEngine:
             cut = span - layer
             for ri in range(reach_ptr[cell], reach_ptr[cell + 1]):
                 c2 = reach[ri]
-                if dist_to is not None and dist_to[c2] > cut:
+                if dist_to[c2] > cut:
                     continue
                 cost = (
                     1.0 + history.get((c2, slot, ROUTE), 0.0)
@@ -783,7 +780,7 @@ class FlatTemporalEngine:
                         queue.push(int(nd) + h, (nd, nidx))
                     else:
                         heapq.heappush(heap, (nd + h, nd, nidx))
-            if dist_to is None or dist_to[cell] <= cut:
+            if dist_to[cell] <= cut:
                 cost = (
                     1.0 + history.get((cell, slot, HOLD), 0.0)
                     if history

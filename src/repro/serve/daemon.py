@@ -29,6 +29,7 @@ through its bounded escalation ladder — no orphaned workers.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import json
 import logging
@@ -56,6 +57,25 @@ __all__ = ["MappingServer"]
 _log = logging.getLogger("repro.serve.daemon")
 
 Send = Callable[[dict[str, Any]], Awaitable[None]]
+
+
+class _LineTooLong(Exception):
+    """An NDJSON line longer than the stream limit (``MAX_BODY_BYTES``)."""
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as ex:  # asyncio's limit overrun, re-raised by readline
+        raise _LineTooLong from ex
+
+
+def _ndjson_sender(writer: asyncio.StreamWriter) -> Send:
+    async def send(doc: dict[str, Any]) -> None:
+        writer.write(protocol.ndjson_line(doc))
+        await writer.drain()
+
+    return send
 
 
 class MappingServer:
@@ -97,8 +117,11 @@ class MappingServer:
         # from a threaded parent risks inheriting a lock mid-hold.
         warm_pool(self.jobs)
         self._prev_registry = set_metrics(self.registry)
+        # NDJSON batches arrive as single lines: lift asyncio's 64 KiB
+        # default line limit to the same cap HTTP bodies get.
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port,
+            limit=protocol.MAX_BODY_BYTES,
         )
         _log.info("serve: listening on %s:%s", self.host, self.bound_port)
 
@@ -163,13 +186,22 @@ class MappingServer:
     ) -> None:
         self._conns.add(writer)
         try:
-            first = await reader.readline()
+            first = await _readline(reader)
             if not first:
                 return
             if first.lstrip()[:1] in (b"{", b"["):
                 await self._serve_ndjson(first, reader, writer)
             else:
                 await self._serve_http(first, reader, writer)
+        except _LineTooLong:
+            # The rest of the line is still in flight and cannot be
+            # resynchronised: answer once, then close the connection.
+            with contextlib.suppress(ConnectionError):
+                await self._send_batch_error(
+                    _ndjson_sender(writer), "batch",
+                    f"NDJSON line over the {protocol.MAX_BODY_BYTES}-byte"
+                    " cap",
+                )
         except (
             ConnectionResetError, BrokenPipeError,
             asyncio.IncompleteReadError,
@@ -196,16 +228,13 @@ class MappingServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        async def send(doc: dict[str, Any]) -> None:
-            writer.write(protocol.ndjson_line(doc))
-            await writer.drain()
-
+        send = _ndjson_sender(writer)
         line = first
         while line:
             text = line.strip()
             if text:
                 await self._serve_batch_text(text, send)
-            line = await reader.readline()
+            line = await _readline(reader)
 
     async def _serve_http(
         self,
@@ -221,12 +250,7 @@ class MappingServer:
                 writer.write(protocol.response_head(
                     200, "OK", content_type="application/x-ndjson"
                 ))
-
-                async def send(doc: dict[str, Any]) -> None:
-                    writer.write(protocol.ndjson_line(doc))
-                    await writer.drain()
-
-                await self._serve_batch_text(body, send)
+                await self._serve_batch_text(body, _ndjson_sender(writer))
                 return
             if method == "GET" and path == "/metrics":
                 writer.write(protocol.simple_response(
@@ -304,24 +328,25 @@ class MappingServer:
                 loop.call_soon_threadsafe(queue.put_nowait, resp)
 
             async with self._lock:
-                reg.gauge(SERVE_INFLIGHT).inc(len(prepared))
+                inflight = reg.gauge(SERVE_INFLIGHT)
+                inflight.inc(len(prepared))
+                batch_fut = loop.run_in_executor(
+                    None,
+                    functools.partial(
+                        map_batch, prepared,
+                        jobs=self.jobs, on_settle=on_settle,
+                    ),
+                )
                 try:
-                    batch_fut = loop.run_in_executor(
-                        None,
-                        functools.partial(
-                            map_batch, prepared,
-                            jobs=self.jobs, on_settle=on_settle,
-                        ),
-                    )
                     for _ in range(len(prepared)):
                         resp = await queue.get()
+                        inflight.dec()
                         reg.histogram(SERVE_REQUEST_LATENCY_MS).observe(
                             1000 * (
                                 time.monotonic()
                                 - accepted[resp["index"]]
                             )
                         )
-                        reg.gauge(SERVE_INFLIGHT).dec()
                         if resp.get("ok"):
                             n_ok += 1
                         else:
@@ -332,7 +357,16 @@ class MappingServer:
                         await send(resp)
                     await batch_fut
                 finally:
-                    reg.gauge(SERVE_INFLIGHT).set(0.0)
+                    # A send that raised (the client left mid-batch)
+                    # must not release the lock while the pool still
+                    # runs this batch: the pool is not reentrant.
+                    # Every settled response is queued before the
+                    # executor future completes, so once it is done
+                    # the rest of the batch is in the queue: discard it.
+                    await asyncio.wait((batch_fut,))
+                    while not queue.empty():
+                        queue.get_nowait()
+                        inflight.dec()
             reg.counter(SERVE_BATCHES_TOTAL).inc()
         await send({"batch": {
             "requests": len(prepared) + len(bad),

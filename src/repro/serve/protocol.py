@@ -5,6 +5,9 @@ decides.  A line opening with ``{`` is newline-delimited JSON: each
 line is one batch document, answered with one response line per
 request (streamed as each settles) plus a closing ``{"batch": ...}``
 summary line, and the connection stays open for further batches.
+A line longer than :data:`MAX_BODY_BYTES` (the HTTP body cap) is
+answered with one structured ``batch`` error, then the connection
+closes.
 Anything else is parsed as an HTTP/1.1 request line:
 
 * ``POST /map`` — body is a batch document; the response streams the

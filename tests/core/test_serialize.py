@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import map_dfg
 from repro.arch import presets
+from repro.core.exceptions import ValidationError
 from repro.core.serialize import (
     dfg_from_doc,
     dfg_to_doc,
@@ -167,6 +168,18 @@ def test_corrupted_docs_raise_field_naming_value_errors(setup, mutate):
     doc = json.loads(mapping_to_json(mapping))
     mutate(doc)
     with pytest.raises(ValueError, match="mapping document"):
+        mapping_from_doc(doc, dfg, cgra, verify=False)
+
+
+def test_well_formed_illegal_doc_raises_validation_error(setup):
+    # Structurally perfect, semantically broken: shifting one op's
+    # schedule slot collides FUs and breaks a dependence.  That is the
+    # re-validation's ValidationError, not a document ValueError.
+    dfg, cgra, mapping = setup
+    doc = json.loads(mapping_to_json(mapping))
+    first = min(doc["schedule"], key=int)
+    doc["schedule"][first] += 1
+    with pytest.raises(ValidationError, match="violation"):
         mapping_from_doc(doc, dfg, cgra, verify=False)
 
 

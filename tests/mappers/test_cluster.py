@@ -4,9 +4,9 @@ Three angles on :mod:`repro.mappers.cluster`:
 
 * the FM partitioner's contract (exact cover, capacity, determinism,
   linear-arrangement order on chains);
-* the scalar/vectorized evaluator equivalence the mapper's cache
-  aliasing depends on — seeded refinement walks must be *bit-identical*
-  across backends, checked through the move journal;
+* the numpy evaluator's equivalence with the python-loop reference
+  (``tests/reference``) — seeded refinement walks must be
+  *bit-identical* across backends, checked through the move journal;
 * end-to-end placement quality: validate()-clean on every 4x4 preset
   and never worse than the flat annealer where both succeed, plus the
   scaling case the mapper exists for (a 200-op chain on 16x16).
@@ -22,7 +22,8 @@ from repro.arch import presets
 from repro.core.exceptions import MapFailure
 from repro.core.registry import create
 from repro.ir import kernels, randdfg
-from repro.mappers.batchcost import make_evaluator
+from repro.mappers import cluster
+from repro.mappers.batchcost import VectorDeltaCost
 from repro.mappers.cluster import (
     ClusteredSpatialMapper,
     channel_columns,
@@ -31,6 +32,7 @@ from repro.mappers.cluster import (
 )
 from repro.mappers.partition import build_adjacency, partition
 from repro.mappers.spatial_common import spatial_cost
+from reference import ScalarDeltaCost
 
 PRESETS_4X4 = ["simple4x4", "adres4x4", "hycube4x4", "hetero4x4"]
 EASY = ["vector_add", "dot_product", "if_select"]
@@ -121,8 +123,8 @@ def test_dataflow_depth_monotone_along_edges():
 def _refine_journal(vectorized: bool, kname: str, seed: int):
     dfg = kernels.kernel(kname)
     cgra = presets.by_name("simple4x4")
-    m = ClusteredSpatialMapper(seed=seed, vectorized=vectorized)
-    ev = make_evaluator(dfg, cgra, vectorized=vectorized)
+    m = ClusteredSpatialMapper(seed=seed)
+    ev = (VectorDeltaCost if vectorized else ScalarDeltaCost)(dfg, cgra)
     clusters = partition(dfg, m.region * m.region)
     binding = m.seed_binding(dfg, cgra, clusters)
     assert binding is not None
@@ -136,19 +138,19 @@ def _refine_journal(vectorized: bool, kname: str, seed: int):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_scalar_vector_walks_bit_identical(kname, seed):
     """The whole seeded anneal — every proposal, delta, accept/reject —
-    must agree between backends, not just the final answer.  This is
-    the property that lets ``cache_token`` alias them."""
+    must agree between backends, not just the final answer."""
     js, cs = _refine_journal(False, kname, seed)
     jv, cv = _refine_journal(True, kname, seed)
     assert js == jv
     assert cs == cv
 
 
-def test_mapper_output_identical_across_backends():
+def test_mapper_output_identical_across_backends(monkeypatch):
     dfg = kernels.kernel("fir4")
     cgra = presets.by_name("simple4x4")
-    a = ClusteredSpatialMapper(seed=3, vectorized=False).map(dfg, cgra)
-    b = ClusteredSpatialMapper(seed=3, vectorized=True).map(dfg, cgra)
+    b = ClusteredSpatialMapper(seed=3).map(dfg, cgra)
+    monkeypatch.setattr(cluster, "VectorDeltaCost", ScalarDeltaCost)
+    a = ClusteredSpatialMapper(seed=3).map(dfg, cgra)
     assert a.binding == b.binding
     assert a.routes == b.routes
 

@@ -5,11 +5,11 @@ Four layers of assurance for the flat-array engine:
 * structure — the CSR graph mirrors the CGRA's adjacency exactly;
 * unit — CellClaims refcounting and the DialQueue/heapq order contract;
 * identity — negotiated spatial routing and the temporal searches are
-  byte-identical to their scalar references (same routes, same costs,
-  same dict key order);
+  byte-identical to their dict + heapq references in
+  ``tests/reference`` (same routes, same costs, same dict key order);
 * legality — incremental negotiation may pick different routes, but
-  they are always legal and it succeeds whenever the scalar engine
-  does.
+  they are always legal and it succeeds whenever the reference full
+  schedule does.
 """
 
 import heapq
@@ -23,8 +23,14 @@ from repro.arch.tec import HOLD, ROUTE
 from repro.core.resources import Occupancy
 from repro.ir import kernels
 from repro.mappers import spatial_common as sc
-from repro.mappers.routecore import CellClaims, DialQueue, flat_graph
+from repro.mappers.routecore import (
+    CellClaims,
+    DialQueue,
+    flat_graph,
+    negotiate_spatial,
+)
 from repro.mappers.routing import RouteRequest, Router
+import reference
 
 SMALL_ARCHS = ["simple4x4", "adres4x4", "hycube4x4", "hetero4x4"]
 # hetero4x4's op classes are too tight for injective random spatial
@@ -158,7 +164,7 @@ def test_dial_queue_empty_pop_raises():
         q.pop()
 
 
-# -- negotiated spatial routing: flat vs scalar -----------------------------
+# -- negotiated spatial routing: flat vs scalar reference -------------------
 def _corpus(arch, n_ops, seed):
     cgra = by_name(arch)
     dfg = kernels.kernel(f"layered:{n_ops}:2:{seed}")
@@ -173,16 +179,20 @@ def _corpus(arch, n_ops, seed):
     return cgra, dfg, binding
 
 
+def _flat_full(dfg, cgra, binding):
+    """The flat engine on the reference's full re-route schedule."""
+    nets = sc._negotiation_nets(dfg, cgra, binding)
+    return negotiate_spatial(cgra, binding, nets, incremental=False)
+
+
 @pytest.mark.parametrize("arch", SPATIAL_ARCHS)
 @pytest.mark.parametrize("seed", range(8))
 def test_negotiate_flat_full_matches_scalar_small(arch, seed):
     cgra, dfg, binding = _corpus(arch, 10 + 2 * (seed % 2), seed)
     if binding is None:
         pytest.skip("no injective binding for this seed")
-    r_flat = sc.route_negotiated(
-        dfg, cgra, binding, engine="flat", incremental=False
-    )
-    r_scalar = sc.route_negotiated(dfg, cgra, binding, engine="scalar")
+    r_flat = _flat_full(dfg, cgra, binding)
+    r_scalar = reference.route_negotiated(dfg, cgra, binding)
     assert (r_flat is None) == (r_scalar is None)
     if r_flat is not None:
         assert r_flat == r_scalar
@@ -194,10 +204,8 @@ def test_negotiate_flat_full_matches_scalar_small(arch, seed):
 def test_negotiate_flat_full_matches_scalar_16x16(seed):
     cgra, dfg, binding = _corpus("simple16x16", 24, seed)
     assert binding is not None
-    r_flat = sc.route_negotiated(
-        dfg, cgra, binding, engine="flat", incremental=False
-    )
-    r_scalar = sc.route_negotiated(dfg, cgra, binding, engine="scalar")
+    r_flat = _flat_full(dfg, cgra, binding)
+    r_scalar = reference.route_negotiated(dfg, cgra, binding)
     assert (r_flat is None) == (r_scalar is None)
     if r_flat is not None:
         assert r_flat == r_scalar and list(r_flat) == list(r_scalar)
@@ -229,10 +237,8 @@ def test_incremental_negotiation_legal_and_no_worse(arch, seed):
     cgra, dfg, binding = _corpus(arch, n_ops, seed + 100)
     if binding is None:
         pytest.skip("no injective binding for this seed")
-    r_scalar = sc.route_negotiated(dfg, cgra, binding, engine="scalar")
-    r_inc = sc.route_negotiated(
-        dfg, cgra, binding, engine="flat", incremental=True
-    )
+    r_scalar = reference.route_negotiated(dfg, cgra, binding)
+    r_inc = sc.route_negotiated(dfg, cgra, binding)
     # Success parity: incremental succeeds whenever the scalar
     # schedule does (its exhaustion path falls back to that schedule).
     if r_scalar is not None:
@@ -252,11 +258,11 @@ def test_negotiate_adjacent_chain_short_circuits():
     # (0..3 along row 0, then 7 directly below 3).
     cells = [0, 1, 2, 3, 7, 6, 5, 4]
     binding = {nid: cells[i] for i, nid in enumerate(nodes)}
-    r = sc.route_negotiated(dfg, cgra, binding, engine="flat")
+    r = sc.route_negotiated(dfg, cgra, binding)
     assert r == {}
 
 
-# -- temporal searches: flat engine vs scalar engine ------------------------
+# -- temporal searches: flat engine vs dict + heapq reference ---------------
 def _random_occ(cgra, rng, ii=8):
     occ = Occupancy(cgra, ii=ii)
     n = cgra.n_cells
@@ -279,9 +285,11 @@ def _random_occ(cgra, rng, ii=8):
 @pytest.mark.parametrize("arch", ["simple4x4", "hetero4x4"])
 @pytest.mark.parametrize("prune", [False, True])
 def test_router_find_flat_matches_scalar(arch, prune):
+    # The flat engine always prunes; pruning is exact, so it must
+    # match the pruned and the exhaustive reference alike.
     cgra = by_name(arch)
-    flat = Router(cgra, prune=prune, engine="flat")
-    scalar = Router(cgra, prune=prune, engine="scalar")
+    flat = Router(cgra)
+    scalar = reference.ReferenceRouter(cgra, prune=prune)
     rng = random.Random(42)
     n = cgra.n_cells
     for case in range(40):
@@ -300,8 +308,8 @@ def test_router_find_flat_matches_scalar(arch, prune):
 @pytest.mark.parametrize("penalty", [10.0, 2.5])
 def test_router_find_negotiated_flat_matches_scalar(arch, penalty):
     cgra = by_name(arch)
-    flat = Router(cgra, engine="flat")
-    scalar = Router(cgra, engine="scalar")
+    flat = Router(cgra)
+    scalar = reference.ReferenceRouter(cgra, prune=True)
     rng = random.Random(4242)
     n = cgra.n_cells
     for case in range(30):

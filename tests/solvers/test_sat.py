@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.solvers.sat import CNF, SatSolver
+from reference import DPLLSolver
 
 
 def brute_force_sat(n_vars, clauses):
@@ -226,8 +227,6 @@ def test_conflict_limit_sets_limit_reached():
                 cnf.add(-var[p1, h], -var[p2, h])
     res = SatSolver(cnf).solve(conflict_limit=5)
     assert not res.sat and res.limit_reached
-    from repro.solvers.sat import DPLLSolver
-
     res = DPLLSolver(cnf).solve(conflict_limit=5)
     assert not res.sat and res.limit_reached
 

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from repro.solvers.sat import CNF, DPLLSolver, SatSolver
+from repro.solvers.sat import CNF, SatSolver
+from reference import DPLLSolver
 
 
 def _random_cnf(seed: int) -> tuple[CNF, list[list[int]]]:
